@@ -6,8 +6,9 @@ in-process :class:`repro.server.http.ReproServer` (same code path as the
 daemon, no interpreter startup noise) and records, per phase:
 
 * ``cold`` — every client concurrently requests the *same* never-evaluated
-  grid.  The coalescing window folds them into shared scheduler passes, so
-  the grid is computed once no matter how many clients ask.
+  grid.  The service coalesces tickets that queue up behind a running pass
+  into the next one, and cells computed by one pass are memo-warm for the
+  next, so the grid is computed once no matter how many clients ask.
 * ``hot`` — every client re-requests that grid ``hot_rounds`` times: the
   repeated-request phase, served from the process memo / shared store.
   This is the phase the warm-path hit-rate criterion (> 90 %) is measured
@@ -109,16 +110,14 @@ def _run_phase(client_grids) -> dict:
     }
 
 
-def run_server_bench(clients: int = 4, hot_rounds: int = 5,
-                     batch_window: float = 0.05) -> dict:
+def run_server_bench(clients: int = 4, hot_rounds: int = 5) -> dict:
     """The ``server`` section of ``BENCH_pipeline.json`` (see module doc)."""
     if clients < 2:
         raise ValueError("the load generator needs at least 2 clients")
     clear_process_caches()
     with tempfile.TemporaryDirectory(prefix="bench-server-") as tmp:
         store = ReportStore(Path(tmp) / "store")
-        server = create_server(port=0, store=store,
-                               batch_window=batch_window)
+        server = create_server(port=0, store=store)
         host, port = server.server_address[:2]
         thread = threading.Thread(target=serve, args=(server,))
         thread.start()
@@ -149,7 +148,6 @@ def run_server_bench(clients: int = 4, hot_rounds: int = 5,
     return {
         "clients": clients,
         "hot_rounds": hot_rounds,
-        "batch_window_seconds": batch_window,
         "grid_cells_per_request": len(HOT_GRID["y"]) * 3,
         "phases": {"cold": cold, "hot": hot, "mixed": mixed},
         "service": stats,
@@ -163,9 +161,6 @@ def main(argv=None) -> int:
     parser.add_argument("--hot-rounds", type=int, default=5,
                         help="repeat count per client in the hot phase "
                              "(default: 5)")
-    parser.add_argument("--batch-window", type=float, default=0.05,
-                        help="server coalescing window in seconds "
-                             "(default: 0.05)")
     parser.add_argument("--output", type=Path,
                         default=REPO_ROOT / "BENCH_pipeline.json",
                         help="BENCH json to merge the server section into "
@@ -173,8 +168,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     section = run_server_bench(clients=args.clients,
-                               hot_rounds=args.hot_rounds,
-                               batch_window=args.batch_window)
+                               hot_rounds=args.hot_rounds)
 
     payload = {}
     if args.output.exists():

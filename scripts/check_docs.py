@@ -4,9 +4,12 @@
 Scans the repository's user-facing Markdown (README.md, docs/, PERFORMANCE.md)
 for ``[text](target)`` links and verifies that every *relative* target —
 external ``http(s)`` URLs and pure in-page anchors are skipped — exists on
-disk, resolving the path against the file that contains the link.  Run by CI
-(the docs smoke step) and by ``tests/test_docs.py`` so a renamed or deleted
-file cannot silently orphan the documentation.
+disk, resolving the path against the file that contains the link.  It also
+checks that every ``*.md`` name cited in a docstring under ``src/`` (e.g.
+``docs/SERVER.md``) names a file that exists, resolved against the
+repository root.  Run by CI (the docs smoke step) and by
+``tests/test_docs.py`` so a renamed or deleted file cannot silently orphan
+the documentation.
 
 Usage::
 
@@ -16,6 +19,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
 from pathlib import Path
@@ -33,6 +37,9 @@ DOC_FILES = (
 #: ``[text](target)`` — good enough for the plain links these docs use
 #: (no nested brackets, no reference-style links).
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A Markdown file name cited in prose: ``README.md``, ``docs/CLI.md``.
+_MD_NAME = re.compile(r"(?<![\w./:-])\w[\w./-]*\.md\b")
 
 
 def iter_links(text: str):
@@ -63,8 +70,34 @@ def check_file(path: Path, root: Path) -> list:
     return problems
 
 
+def iter_docstrings(source: str):
+    """Yield the module, class and function docstrings of Python source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                yield docstring
+
+
+def check_source_citations(root: Path) -> list:
+    """Return a message for every ``*.md`` name a ``src/`` docstring cites
+    that does not exist relative to the repository root."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        cited = set()
+        for docstring in iter_docstrings(path.read_text()):
+            cited.update(_MD_NAME.findall(docstring))
+        for name in sorted(cited):
+            if not (root / name).exists():
+                problems.append(f"{path.relative_to(root)}: docstring cites "
+                                f"missing {name}")
+    return problems
+
+
 def check_docs(root: Path) -> list:
-    """Check every file in :data:`DOC_FILES`; missing doc files are errors."""
+    """Check every file in :data:`DOC_FILES` (missing doc files are errors)
+    and every Markdown file cited by a ``src/`` docstring."""
     problems = []
     for name in DOC_FILES:
         path = root / name
@@ -72,6 +105,7 @@ def check_docs(root: Path) -> list:
             problems.append(f"missing documentation file: {name}")
             continue
         problems.extend(check_file(path, root))
+    problems.extend(check_source_citations(root))
     return problems
 
 
@@ -87,7 +121,8 @@ def main(argv=None) -> int:
         print(problem, file=sys.stderr)
     if problems:
         return 1
-    print(f"docs OK: {len(DOC_FILES)} file(s), all relative links resolve")
+    print(f"docs OK: {len(DOC_FILES)} file(s), all relative links and "
+          f"src/ docstring citations resolve")
     return 0
 
 

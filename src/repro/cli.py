@@ -137,7 +137,6 @@ from repro.experiments.store import (
     format_verify,
 )
 from repro.experiments.sweep import format_summaries, sweep_grid
-from repro.server.service import DEFAULT_BATCH_WINDOW as SERVER_DEFAULT_BATCH_WINDOW
 from repro.tensor import corpus as corpus_manager
 from repro.tensor.kernels import kernel_names
 from repro.tensor.suite import corpus_suite, default_suite, small_suite, synth_suite
@@ -490,11 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker processes per evaluation pass "
                             "(default: CPU count; 1 = serial)")
-    serve.add_argument("--batch-window", type=float,
-                       default=SERVER_DEFAULT_BATCH_WINDOW, metavar="SECONDS",
-                       help="how long each pass waits for more clients to "
-                            "coalesce with it (default: "
-                            f"{SERVER_DEFAULT_BATCH_WINDOW:g}s; 0 disables)")
     serve.add_argument("--no-batch", action="store_true",
                        help="evaluate one cell at a time instead of through "
                             "the vectorized batch engine")
@@ -894,7 +888,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = create_server(
         host=args.host, port=args.port, store=store,
         max_workers=args.workers, use_batch=not args.no_batch,
-        batch_window=args.batch_window, verbose=args.verbose)
+        verbose=args.verbose)
     host, port = server.server_address[:2]
     store_note = str(store.root) if store is not None else "none (in-memory)"
     print(f"[server] serving on http://{host}:{port} "

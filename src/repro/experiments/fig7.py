@@ -2,8 +2,9 @@
 
 The paper reports a geometric-mean speedup of 52.7× for ExTensor-OB over
 ExTensor-N and 2.3× over ExTensor-P.  The reproduction computes the same
-per-workload bars and geometric means on the synthetic suite; EXPERIMENTS.md
-records the measured values next to the paper's.
+per-workload bars and geometric means on the synthetic suite;
+``python -m repro run fig7`` writes the measured values to
+``artifacts/fig7.json`` (see README.md).
 """
 
 from __future__ import annotations

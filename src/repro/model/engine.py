@@ -7,7 +7,7 @@ at every level of the memory hierarchy, converts it into a cycle count
 (bandwidth- or compute-bound), and charges every action to the Accelergy-like
 energy model.
 
-Model structure (see DESIGN.md §5 for the derivation):
+Model structure (docs/ARCHITECTURE.md walks one evaluation through it):
 
 * **DRAM → GLB.**  The stationary operand A is tiled into row blocks; tile
   ``i`` is fetched according to the variant's overflow policy and re-scanned

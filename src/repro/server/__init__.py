@@ -13,7 +13,6 @@ Three layers, importable separately:
 from repro.server.client import ServerClient, StreamOutcome, artifact_bytes
 from repro.server.http import ReproServer, create_server, serve
 from repro.server.service import (
-    DEFAULT_BATCH_WINDOW,
     EvaluationService,
     ServiceClosed,
     ServiceError,
@@ -21,7 +20,6 @@ from repro.server.service import (
 )
 
 __all__ = [
-    "DEFAULT_BATCH_WINDOW",
     "EvaluationService",
     "ReproServer",
     "ServerClient",

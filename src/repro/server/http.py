@@ -38,6 +38,10 @@ three drivers as JSON endpoints:
     non-daemon and ``server_close`` joins them), and drains the service
     queue.  No orphaned leases, tickets, or shared-memory segments.
 
+Request bodies larger than :data:`MAX_BODY_BYTES` are refused with 413,
+and a malformed or negative ``Content-Length`` with 400, before a byte of
+the body is read.
+
 Requests are deliberately *identity-only* (suite names, grid axes, synth
 specs) — never server-local paths — so any client's request means the same
 thing on any server sharing a store.
@@ -57,17 +61,22 @@ from repro.experiments.search import search_frontier
 from repro.experiments.store import ReportStore
 from repro.experiments.surrogate import parse_constraint
 from repro.experiments.sweep import collect_result, plan_grid
-from repro.server.service import (
-    DEFAULT_BATCH_WINDOW,
-    EvaluationService,
-    ServiceClosed,
-)
+from repro.server.service import EvaluationService, ServiceClosed
 from repro.tensor.suite import default_suite, small_suite, synth_suite
 from repro.tensor.synth import parse_synth_spec
 
 
+#: Largest request body the daemon reads, in bytes.  Every endpoint takes a
+#: small JSON spec (a grid's axes, experiment names), far below this.
+MAX_BODY_BYTES = 1 << 20
+
+
 class RequestError(ValueError):
-    """A client request that cannot be served (HTTP 400)."""
+    """A client request that cannot be served (HTTP 400 by default)."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
 
 
 def _suite_from_body(body: dict):
@@ -115,16 +124,30 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def _send_json(self, payload: dict, status: int = 200, *,
+                   close: bool = False) -> None:
         data = (json.dumps(payload) + "\n").encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            # Also sets close_connection: an unread body must not be
+            # parsed as the next request on this connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            raise RequestError(f"bad Content-Length {header!r}") from None
+        if length < 0:
+            raise RequestError(f"bad Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            raise RequestError(f"request body of {length} bytes exceeds "
+                               f"the {MAX_BODY_BYTES}-byte limit", 413)
         raw = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(raw or b"{}")
@@ -179,12 +202,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
         except RequestError as error:
-            self._send_json({"error": str(error)}, 400)
+            self._send_json({"error": str(error)}, error.status, close=True)
             return
         try:
             handler(body)
         except RequestError as error:
-            self._send_json({"error": str(error)}, 400)
+            self._send_json({"error": str(error)}, error.status)
         except ServiceClosed:
             self._send_json({"error": "server is shutting down"}, 503)
 
@@ -361,7 +384,6 @@ class ReproServer(ThreadingHTTPServer):
 
 def create_server(*, host: str = "127.0.0.1", port: int = 0, store=None,
                   max_workers: Optional[int] = None, use_batch: bool = True,
-                  batch_window: float = DEFAULT_BATCH_WINDOW,
                   verbose: bool = False) -> ReproServer:
     """Bind a :class:`ReproServer` (``port=0`` picks a free port).
 
@@ -370,8 +392,7 @@ def create_server(*, host: str = "127.0.0.1", port: int = 0, store=None,
     :func:`serve`, which does all three.
     """
     service = EvaluationService(store=store, max_workers=max_workers,
-                                use_batch=use_batch,
-                                batch_window=batch_window)
+                                use_batch=use_batch)
     return ReproServer((host, port), service, verbose=verbose)
 
 

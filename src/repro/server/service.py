@@ -3,21 +3,23 @@
 The CLI pipeline treats :class:`~repro.experiments.scheduler.
 EvaluationScheduler` as a per-process helper — one caller, one batch, one
 fan-out.  A daemon serving many concurrent clients wants the opposite shape:
-*every* client's evaluation requests funneled into **one** scheduler pass per
-batch window, so overlapping grids are deduplicated across clients exactly
-as they are within one (the fleet-wide dedup of the ROADMAP's
-millions-of-users north star).
+every client's evaluation requests funneled into shared scheduler passes,
+so overlapping grids are deduplicated across clients exactly as they are
+within one.
 
 :class:`EvaluationService` is that funnel:
 
 * Clients :meth:`~EvaluationService.submit` lists of
   :class:`~repro.experiments.scheduler.EvaluationRequest`\\ s and get back a
   :class:`Ticket` — a private event stream for *their* cells.
-* A single **service loop thread** takes the first queued ticket, waits
-  ``batch_window`` seconds collecting whatever else arrives (the coalescing
-  window), unions all tickets' requests, and runs one
-  ``scheduler.prefetch`` over the union.  Requests two tickets share are
-  evaluated once and both tickets hear about it.
+* A single **service loop thread** batches naturally: it blocks for the
+  next ticket, takes every other ticket already queued (without waiting),
+  unions their requests, and runs one ``scheduler.prefetch`` over the
+  union at once.  Tickets that arrive while a pass runs queue up and are
+  coalesced into the next pass, so a lone ticket on an idle loop starts
+  immediately.  Requests two tickets share are evaluated once and both
+  tickets hear about it; a ticket that missed a running pass finds that
+  pass's cells warm in the memo.
 * Per-cell completion events stream to subscribed tickets *as cells finish*
   (via the scheduler's ``on_result`` hook), tagged with where the cell came
   from: ``"memo"`` (already warm in-process), ``"store"`` (on-disk report
@@ -43,18 +45,12 @@ from __future__ import annotations
 import dataclasses
 import queue
 import threading
-import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import memoized_reports
 from repro.experiments.scheduler import EvaluationRequest, EvaluationScheduler
-
-#: Default coalescing window in seconds: long enough that a burst of
-#: concurrent clients lands in one scheduler pass, short enough to be
-#: invisible next to any cold evaluation.
-DEFAULT_BATCH_WINDOW = 0.05
 
 
 class ServiceError(RuntimeError):
@@ -174,23 +170,16 @@ class EvaluationService:
         computes (the scheduler's usual durable tier, now fleet-shared).
     max_workers / use_batch:
         Forwarded to the underlying scheduler.
-    batch_window:
-        Seconds the loop waits after the first ticket of a pass for more
-        tickets to coalesce with it.  ``0`` disables waiting (each pass
-        takes whatever is queued at that instant).
     auto_start:
         ``False`` leaves the loop unstarted; tests then drive passes
         deterministically with :meth:`step`.
     """
 
     def __init__(self, *, store=None, max_workers: Optional[int] = None,
-                 use_batch: bool = True,
-                 batch_window: float = DEFAULT_BATCH_WINDOW,
-                 auto_start: bool = True):
+                 use_batch: bool = True, auto_start: bool = True):
         self.store = store
         self.scheduler = EvaluationScheduler(
             max_workers=max_workers, store=store, use_batch=use_batch)
-        self.batch_window = max(0.0, float(batch_window))
         self.counters = ServiceCounters()
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = threading.Lock()
@@ -255,53 +244,43 @@ class EvaluationService:
         else:
             # Never started (auto_start=False): settle the queue in-line so
             # close() keeps its drain contract without a loop thread.
-            self._settle_queue(drain)
+            self._settle(self._take_queued(block=False)[0], drain)
 
     # ------------------------------------------------------------------ #
     # The service loop
     # ------------------------------------------------------------------ #
     def _loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                self._settle_queue(self._drain)
+            tickets, shutdown = self._take_queued(block=True)
+            if shutdown:
+                self._settle(tickets, self._drain)
                 return
-            batch = [item]
-            stop_after = False
-            deadline = time.monotonic() + self.batch_window
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    extra = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if extra is _SHUTDOWN:
-                    stop_after = True
-                    break
-                batch.append(extra)
-            self._run_pass(batch)
-            if stop_after:
-                self._settle_queue(self._drain)
-                return
+            self._run_pass(tickets)
 
-    def _settle_queue(self, drain: bool) -> None:
-        """Process (or fail) every ticket still queued at shutdown."""
-        leftover: List[Ticket] = []
+    def _take_queued(self, *, block: bool) -> Tuple[List[Ticket], bool]:
+        """Take every ticket queued right now, without waiting for more.
+
+        With ``block=True`` first wait for one item, so an idle loop sleeps
+        until work arrives and then starts its pass at once.  Also reports
+        whether the shutdown sentinel was among the items taken.
+        """
+        items = [self._queue.get()] if block else []
         while True:
             try:
-                item = self._queue.get_nowait()
+                items.append(self._queue.get_nowait())
             except queue.Empty:
                 break
-            if item is not _SHUTDOWN:
-                leftover.append(item)
-        if not leftover:
+        tickets = [item for item in items if item is not _SHUTDOWN]
+        return tickets, len(tickets) < len(items)
+
+    def _settle(self, tickets: List[Ticket], drain: bool) -> None:
+        """Run (``drain``) or fail the tickets still queued at shutdown."""
+        if not tickets:
             return
         if drain:
-            self._run_pass(leftover)
+            self._run_pass(tickets)
         else:
-            for ticket in leftover:
+            for ticket in tickets:
                 ticket._emit({"event": "error",
                               "detail": "service shut down before this "
                                         "batch ran"})
@@ -312,17 +291,10 @@ class EvaluationService:
         Returns the number of tickets processed.  Only meaningful with
         ``auto_start=False`` — with the loop running, it would race it.
         """
-        pending: List[Ticket] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                pending.append(item)
-        if pending:
-            self._run_pass(pending)
-        return len(pending)
+        tickets, _shutdown = self._take_queued(block=False)
+        if tickets:
+            self._run_pass(tickets)
+        return len(tickets)
 
     def _run_pass(self, tickets: List[Ticket]) -> None:
         subscribers: Dict[tuple, List[Ticket]] = {}

@@ -4,7 +4,8 @@ Every stochastic component of the reproduction (synthetic tensor generators,
 Swiftiles tile sampling, workload suites) accepts either a seed or an existing
 :class:`numpy.random.Generator`.  Routing everything through
 :func:`resolve_rng` keeps experiments reproducible run-to-run, which matters
-because EXPERIMENTS.md records measured numbers.
+because the golden reports and byte-identical artifacts depend on it (see
+PERFORMANCE.md: parallel output is bit-identical to serial).
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ covers the last).
 
 import http.client
 import json
+import queue
+import socket
 import threading
+import time
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.server import (
     create_server,
     serve,
 )
+from repro.server.http import MAX_BODY_BYTES
 from repro.tensor.suite import small_suite
 
 
@@ -34,12 +38,46 @@ def _requests(y_values=(0.05,)):
     return list(plan_grid(small_suite(), y_values=list(y_values)).requests)
 
 
+def _gate_passes(service):
+    """Hold each of ``service``'s passes inside ``scheduler.prefetch``.
+
+    Returns ``(entered, release)``: every pass puts its unique-cell count
+    on the ``entered`` queue as it enters the scheduler, then blocks until
+    the ``release`` event is set.  Tests use this to keep a pass in flight
+    for as long as they need, with no timing assumptions.
+    """
+    entered = queue.SimpleQueue()
+    release = threading.Event()
+    prefetch = service.scheduler.prefetch
+
+    def gated(requests, **kwargs):
+        entered.put(len(requests))
+        assert release.wait(timeout=120), "test never released the pass"
+        return prefetch(requests, **kwargs)
+
+    service.scheduler.prefetch = gated
+    return entered, release
+
+
+class _CountingQueue(queue.Queue):
+    """A queue that counts the blocking ``get`` calls made on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocking_gets = 0
+
+    def get(self, block=True, timeout=None):
+        if block:
+            self.blocking_gets += 1
+        return super().get(block, timeout)
+
+
 @pytest.fixture()
 def live_server(tmp_path):
     """A daemon on a free port over a fresh store; drained at teardown."""
     clear_process_caches()
     store = ReportStore(tmp_path / "store")
-    server = create_server(port=0, store=store, batch_window=0.05)
+    server = create_server(port=0, store=store)
     thread = threading.Thread(target=serve, args=(server,))
     thread.start()
     host, port = server.server_address[:2]
@@ -145,6 +183,51 @@ class TestService:
         service.close()
 
 
+class TestNaturalBatching:
+    """The live loop never waits for company: it starts a pass as soon as it
+    is free, over every ticket queued by then.  Driven with gated passes."""
+
+    def test_lone_ticket_on_idle_loop_starts_without_waiting(self):
+        clear_process_caches()
+        service = EvaluationService(auto_start=False)
+        service._queue = counting = _CountingQueue()
+        entered, release = _gate_passes(service)
+        service.start()
+        ticket = service.submit(_requests())
+        try:
+            assert entered.get(timeout=60) == len(_requests())
+            # The loop blocked once, for this ticket, and went straight into
+            # the pass: no second, timed wait for more tickets to arrive.
+            assert counting.blocking_gets == 1
+        finally:
+            release.set()
+        assert ticket.wait()["schedule"]["computed"] == len(_requests())
+        service.close()
+
+    def test_tickets_queued_behind_a_running_pass_share_the_next(self):
+        clear_process_caches()
+        service = EvaluationService()
+        entered, release = _gate_passes(service)
+        first = service.submit(_requests())
+        assert entered.get(timeout=60) == len(_requests())  # pass 1 held
+        second = service.submit(_requests())
+        third = service.submit(_requests())
+        release.set()
+        for ticket in (first, second, third):
+            ticket.wait()
+        assert entered.get(timeout=60) == len(_requests())  # one pass 2
+        service.close()
+
+        counters = service.counters
+        assert counters.passes == 2
+        assert counters.tickets == 3
+        assert counters.coalesced == len(_requests())
+        # Every cell computed once, in pass 1; pass 2 found them warm.
+        assert counters.computed == len(_requests())
+        assert counters.memo_hits == len(_requests())
+        assert entered.empty()
+
+
 class TestHTTPEndpoints:
     def test_health_and_stats_counters(self, live_server):
         client, _store = live_server
@@ -167,8 +250,7 @@ class TestHTTPEndpoints:
         from disk — the fleet-wide warm path."""
         store_dir = tmp_path / "store"
         clear_process_caches()
-        server = create_server(port=0, store=ReportStore(store_dir),
-                               batch_window=0.0)
+        server = create_server(port=0, store=ReportStore(store_dir))
         thread = threading.Thread(target=serve, args=(server,))
         thread.start()
         client = ServerClient(*server.server_address[:2])
@@ -180,8 +262,7 @@ class TestHTTPEndpoints:
             thread.join(timeout=60)
 
         clear_process_caches()  # "new process": memo gone, store remains
-        server = create_server(port=0, store=ReportStore(store_dir),
-                               batch_window=0.0)
+        server = create_server(port=0, store=ReportStore(store_dir))
         thread = threading.Thread(target=serve, args=(server,))
         thread.start()
         client = ServerClient(*server.server_address[:2])
@@ -209,6 +290,42 @@ class TestHTTPEndpoints:
         client, _store = live_server
         with pytest.raises(Exception, match="nonesuch|unknown"):
             client.run(["nonesuch"])
+
+
+class TestRequestLimits:
+    """``Content-Length`` is validated before any of the body is read."""
+
+    @staticmethod
+    def _post_sweep(client, content_length: str):
+        """POST /sweep declaring ``content_length`` but sending no body: a
+        server that tried to read the declared body would hang here."""
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=10)
+        try:
+            connection.putrequest("POST", "/sweep")
+            connection.putheader("Content-Length", content_length)
+            connection.endheaders()
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("content_length", ["abc", "1.5", "-5"])
+    def test_malformed_or_negative_length_is_400(self, live_server,
+                                                 content_length):
+        client, _store = live_server
+        status, payload = self._post_sweep(client, content_length)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert client.health() == {"status": "ok"}
+
+    def test_oversized_body_is_413(self, live_server):
+        client, _store = live_server
+        status, payload = self._post_sweep(client, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert client.health() == {"status": "ok"}
+        assert client.stats()["tickets"] == 0
 
 
 class TestByteIdentity:
@@ -262,6 +379,18 @@ class TestByteIdentity:
         assert artifact["suite"] == cli_payload["suite"]
 
 
+def _wait_until_refused(host, port, timeout=60.0):
+    """Poll until the listening socket is closed (connections refused)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            socket.create_connection((host, port), timeout=5).close()
+        except OSError:
+            return
+        time.sleep(0.01)
+    raise AssertionError("daemon kept accepting connections")
+
+
 class TestGracefulShutdown:
     def test_shutdown_drains_in_flight_request(self, tmp_path):
         """A /shutdown racing an in-flight /sweep: the sweep still streams
@@ -269,7 +398,8 @@ class TestGracefulShutdown:
         no lease files in the store, no shm segments (autouse check)."""
         clear_process_caches()
         store = ReportStore(tmp_path / "store")
-        server = create_server(port=0, store=store, batch_window=0.3)
+        server = create_server(port=0, store=store)
+        entered, release = _gate_passes(server.service)
         thread = threading.Thread(target=serve, args=(server,))
         thread.start()
         host, port = server.server_address[:2]
@@ -285,9 +415,14 @@ class TestGracefulShutdown:
         first = json.loads(response.readline())
         assert first["event"] == "plan"
 
-        # The ticket now sits in the 0.3s coalescing window; shut down
-        # while it is unambiguously in flight.
-        ServerClient(host, port).shutdown()
+        # Hold the pass in flight and shut down under it: wait until the
+        # daemon stops accepting connections while the pass is still held.
+        try:
+            assert entered.get(timeout=60) == 3
+            ServerClient(host, port).shutdown()
+            _wait_until_refused(host, port)
+        finally:
+            release.set()
 
         events = [json.loads(line) for line in response if line.strip()]
         assert events[-1]["event"] == "result"

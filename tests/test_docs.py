@@ -82,6 +82,25 @@ class TestDocFiles:
         problems = check_docs.check_file(page, tmp_path)
         assert problems == ["docs/page.md: broken link -> nonesuch.md"]
 
+    def test_src_docstrings_cite_only_existing_docs(self):
+        assert check_docs.check_source_citations(REPO_ROOT) == []
+
+    def test_dangling_docstring_citation_detected(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "REAL.md").write_text("# real\n")
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            '"""See docs/REAL.md and GONE.md."""\n'
+            "# a comment citing ALSO_GONE.md is not a docstring\n"
+            "def f():\n"
+            '    """Details in docs/MISSING.md."""\n')
+        problems = check_docs.check_source_citations(tmp_path)
+        assert problems == [
+            "src/pkg/mod.py: docstring cites missing GONE.md",
+            "src/pkg/mod.py: docstring cites missing docs/MISSING.md",
+        ]
+
 
 class TestModuleDocstrings:
     @pytest.mark.parametrize("module_name", DOCUMENTED_MODULES)
