@@ -558,6 +558,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json_atomically(path: Path, payload: dict) -> None:
+    """Write ``json.dumps(payload, indent=2)`` plus a newline to ``path``.
+
+    The text goes to a temp file in the same directory, which
+    :func:`os.replace` then moves over ``path``, so a crash mid-write leaves
+    the previous file whole instead of a truncated one.  There is no fsync:
+    against a process crash the replace alone prevents torn files, and
+    syncing every artifact of a run would only add wall time.
+    """
+    staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        staging.write_text(json.dumps(payload, indent=2) + "\n")
+        os.replace(staging, path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
+
+
 # --------------------------------------------------------------------- #
 # Subcommands
 # --------------------------------------------------------------------- #
@@ -701,7 +719,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "seconds": round(elapsed, 4),
                 "result": experiment.to_json(result),
             }
-            artifact_path.write_text(json.dumps(payload, indent=2) + "\n")
+            _write_json_atomically(artifact_path, payload)
             manifest.append({"experiment": experiment.name,
                              "artifact": experiment.artifact,
                              "path": artifact_path.name,
@@ -711,12 +729,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if output_dir is not None:
         manifest_path = output_dir / "manifest.json"
-        manifest_path.write_text(json.dumps({
+        _write_json_atomically(manifest_path, {
             "suite": _suite_label(args),
             "overbooking_target": args.overbooking_target,
             "total_seconds": round(time.perf_counter() - start, 4),
             "experiments": manifest,
-        }, indent=2) + "\n")
+        })
         print(f"wrote {len(manifest)} artifact(s) + manifest to {output_dir}/",
               file=sys.stderr)
     return 0

@@ -47,10 +47,11 @@ model):
 The result records every evaluated design point (so the search is fully
 auditable), the per-group frontier, and per-generation statistics; the
 ``fig14`` experiment and the CLI's ``search`` subcommand render and
-serialize it.  :func:`pareto_frontier` is the (deliberately simple) O(n²)
-non-domination filter — golden tests cross-check the search output against
-an independent brute-force sweep of the same space, and the surrogate path
-against the brute-force path.
+serialize it.  :func:`pareto_frontier` is a sort-and-sweep non-domination
+filter over the 2-D, finite objectives (O(n log n); the tests check it
+against the quadratic :func:`dominates` filter) — golden tests cross-check
+the search output against an independent brute-force sweep of the same
+space, and the surrogate path against the brute-force path.
 """
 
 from __future__ import annotations
@@ -237,22 +238,25 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 def pareto_frontier(points: Sequence[DesignPoint]) -> List[DesignPoint]:
     """The non-dominated subset of ``points`` (one homogeneous group).
 
-    O(n²) by design — the grids here are hundreds of points, and the simple
-    quadratic filter is trivially auditable (the golden tests re-derive it
-    independently).  Ties on the full objective vector keep the first point
-    in input order, so the result is deterministic.
+    The objectives are 2-D and finite (``dram_words``, ``energy_pj``), so
+    one sort and one sweep suffice: walking the distinct objective vectors
+    in lexicographic order, a vector is non-dominated iff its second
+    objective is strictly below that of every earlier vector.  O(n log n);
+    the result equals the :func:`dominates`-based quadratic filter, which
+    the tests keep as their oracle.  The first point (in input order) of
+    each kept vector is returned, in input order, so the result is
+    deterministic.
     """
-    frontier: List[DesignPoint] = []
-    seen_objectives = set()
-    for candidate in points:
-        if candidate.objectives in seen_objectives:
-            continue
-        if any(dominates(other.objectives, candidate.objectives)
-               for other in points):
-            continue
-        seen_objectives.add(candidate.objectives)
-        frontier.append(candidate)
-    return frontier
+    first_index: Dict[Tuple[float, float], int] = {}
+    for index, point in enumerate(points):
+        first_index.setdefault(point.objectives, index)
+    kept: List[int] = []
+    best_second = math.inf
+    for objectives in sorted(first_index):
+        if objectives[1] < best_second:
+            best_second = objectives[1]
+            kept.append(first_index[objectives])
+    return [points[index] for index in sorted(kept)]
 
 
 def _round(value: float) -> float:

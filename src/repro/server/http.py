@@ -40,7 +40,8 @@ three drivers as JSON endpoints:
 
 Request bodies larger than :data:`MAX_BODY_BYTES` are refused with 413,
 and a malformed or negative ``Content-Length`` with 400, before a byte of
-the body is read.
+the body is read.  A ``/sweep`` grid or ``/search`` seed grid of more than
+:data:`MAX_GRID_CELLS` cells is refused with 413 before anything is planned.
 
 Requests are deliberately *identity-only* (suite names, grid axes, synth
 specs) — never server-local paths — so any client's request means the same
@@ -70,6 +71,12 @@ from repro.tensor.synth import parse_synth_spec
 #: small JSON spec (a grid's axes, experiment names), far below this.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most cells (kernels x workloads x y x GLB scales x PE scales) one
+#: ``/sweep`` grid or ``/search`` seed grid may hold.  Planning builds one
+#: request per cell up front, so a small body listing long axes could
+#: otherwise ask for hundreds of millions of them.
+MAX_GRID_CELLS = 100_000
+
 
 class RequestError(ValueError):
     """A client request that cannot be served (HTTP 400 by default)."""
@@ -98,15 +105,34 @@ def _suite_from_body(body: dict):
     return suites[name]()
 
 
-def _grid_kwargs_from_body(body: dict) -> dict:
-    """The ``plan_grid`` axes of a ``/sweep`` body (CLI-flag defaults)."""
-    return {
-        "y_values": [float(y) for y in body.get("y", [0.05, 0.10, 0.22])],
-        "glb_scales": [float(s) for s in body.get("glb_scales", [1.0])],
-        "pe_scales": [float(s) for s in body.get("pe_scales", [1.0])],
-        "kernels": [str(k) for k in body.get("kernels", ["gram"])],
-        "workloads": body.get("workloads"),
-    }
+def _grid_kwargs_from_body(body: dict, *, scales=(1.0,)) -> dict:
+    """The grid axes of a ``/sweep`` or ``/search`` body (CLI-flag defaults).
+
+    ``scales`` is the default of both capacity-scale axes: a sweep keeps
+    the paper's buffers, a search seeds around them.
+    """
+    workloads = body.get("workloads")
+    try:
+        return {
+            "y_values": [float(y) for y in body.get("y", [0.05, 0.10, 0.22])],
+            "glb_scales": [float(s) for s in body.get("glb_scales", scales)],
+            "pe_scales": [float(s) for s in body.get("pe_scales", scales)],
+            "kernels": [str(k) for k in body.get("kernels", ["gram"])],
+            "workloads": None if workloads is None else list(workloads),
+        }
+    except (TypeError, ValueError) as error:
+        raise RequestError(f"bad grid axis: {error}") from error
+
+
+def _check_grid_cells(suite, axes: dict) -> None:
+    """Refuse (413) a grid of more than :data:`MAX_GRID_CELLS` cells."""
+    workloads = axes["workloads"]
+    cells = len(suite) if workloads is None else len(workloads)
+    for axis in ("kernels", "y_values", "glb_scales", "pe_scales"):
+        cells *= len(axes[axis])
+    if cells > MAX_GRID_CELLS:
+        raise RequestError(f"grid of {cells} cells exceeds the "
+                           f"{MAX_GRID_CELLS}-cell limit", 413)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -216,8 +242,10 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     def _handle_sweep(self, body: dict) -> None:
         suite = _suite_from_body(body)
+        axes = _grid_kwargs_from_body(body)
+        _check_grid_cells(suite, axes)
         try:
-            plan = plan_grid(suite, **_grid_kwargs_from_body(body))
+            plan = plan_grid(suite, **axes)
         except ValueError as error:
             raise RequestError(str(error)) from error
 
@@ -330,6 +358,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_search(self, body: dict) -> None:
         suite = _suite_from_body(body)
+        axes = _grid_kwargs_from_body(body, scales=(0.5, 1.0, 2.0))
+        _check_grid_cells(suite, axes)
         constraints = body.get("constraints")
         if constraints is not None:
             try:
@@ -342,14 +372,8 @@ class _Handler(BaseHTTPRequestHandler):
             # dedups against everything the fleet has evaluated.
             result = search_frontier(
                 suite,
-                kernels=[str(k) for k in body.get("kernels", ["gram"])],
-                y_values=[float(v) for v in body.get("y", [0.05, 0.10, 0.22])],
-                glb_scales=[float(s) for s in
-                            body.get("glb_scales", [0.5, 1.0, 2.0])],
-                pe_scales=[float(s) for s in
-                           body.get("pe_scales", [0.5, 1.0, 2.0])],
+                **axes,
                 max_generations=int(body.get("generations", 3)),
-                workloads=body.get("workloads"),
                 max_workers=self.service.scheduler.max_workers,
                 store=self.service.store,
                 use_batch=self.service.scheduler.use_batch,

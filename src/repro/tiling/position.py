@@ -44,12 +44,9 @@ def position_space_tiling(matrix: SparseMatrix, capacity: int, *,
         B traversal for each tile of A"), and recorded in the tiling tax.
     """
     check_positive_int(capacity, "capacity")
+    # CSR order is row-major: SparseMatrix keeps the column indices of every
+    # row sorted, so the coordinates need no reordering.
     rows, cols = matrix.coordinates()
-    # CSR order: already sorted by row, then column.
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-
     nnz = len(rows)
     starts = np.arange(0, nnz, capacity, dtype=np.int64)
     stops = np.minimum(starts + capacity, nnz)

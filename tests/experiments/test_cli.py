@@ -1,6 +1,7 @@
 """CLI smoke tests (in-process via ``repro.cli.main``)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,27 @@ class TestRun:
             artifact = json.loads((tmp_path / entry["path"]).read_text())
             assert artifact["experiment"] == entry["experiment"]
             assert artifact["result"] is not None
+
+    def test_failed_write_keeps_previous_artifacts(self, tmp_path,
+                                                   monkeypatch):
+        """A write that dies partway leaves every earlier file whole."""
+        args = ["run", "fig5", "--quiet", "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert set(before) == {"fig5.json", "manifest.json"}
+
+        write_text = Path.write_text
+
+        def torn_write(self, data, *args, **kwargs):
+            write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            main(args)
+        monkeypatch.undo()
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert after == before
 
     def test_no_artifacts_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -3,12 +3,14 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments import registry
 from repro.experiments.runner import ExperimentContext, clear_process_caches
 from repro.experiments.search import (
     DesignConfig,
+    DesignPoint,
     dominates,
     format_frontier,
     pareto_frontier,
@@ -29,6 +31,34 @@ def quick_frontier():
                            **QUICK_GRID)
 
 
+def quadratic_frontier(points):
+    """The O(n²) non-domination filter: the oracle for ``pareto_frontier``.
+
+    Keeps a point iff nothing in the group dominates it and no earlier point
+    had the same objective vector.
+    """
+    frontier, seen = [], set()
+    for candidate in points:
+        if candidate.objectives in seen:
+            continue
+        if any(dominates(other.objectives, candidate.objectives)
+               for other in points):
+            continue
+        seen.add(candidate.objectives)
+        frontier.append(candidate)
+    return frontier
+
+
+def design_point(index, dram_words, energy_pj):
+    return DesignPoint(
+        kernel="gram", workload="w", model="", model_params="",
+        config=DesignConfig(overbooking_target=index, glb_scale=1.0,
+                            pe_scale=1.0),
+        glb_capacity_words=1, pe_buffer_capacity_words=1, generation=0,
+        cycles=0.0, energy_pj=energy_pj, dram_words=dram_words,
+        glb_overbooking_rate=0.0)
+
+
 class TestDomination:
     def test_dominates_requires_strict_improvement(self):
         assert dominates((1.0, 1.0), (2.0, 2.0))
@@ -36,6 +66,30 @@ class TestDomination:
         assert not dominates((1.0, 1.0), (1.0, 1.0))  # equal: no
         assert not dominates((1.0, 3.0), (2.0, 2.0))  # trade-off: no
         assert not dominates((2.0, 2.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 5, 40, 300])
+    def test_pareto_frontier_matches_quadratic_filter(self, size):
+        """Sort-and-sweep == the quadratic filter, point for point, in order.
+
+        Objectives come from tiny value pools, so duplicate vectors and ties
+        on each axis are the rule rather than the exception.
+        """
+        rng = np.random.default_rng(size)
+        for trial in range(200):
+            pool = rng.integers(1, 8)
+            points = [design_point(index, float(rng.integers(pool)),
+                                   float(rng.integers(pool)))
+                      for index in range(size)]
+            got = pareto_frontier(points)
+            expected = quadratic_frontier(points)
+            assert [p.config for p in got] == [p.config for p in expected]
+
+    def test_pareto_frontier_ties_keep_first_point(self):
+        points = [design_point(0, 2.0, 1.0), design_point(1, 1.0, 2.0),
+                  design_point(2, 1.0, 2.0), design_point(3, 1.0, 3.0),
+                  design_point(4, 3.0, 1.0), design_point(5, 2.0, 1.0)]
+        got = pareto_frontier(points)
+        assert [p.config.overbooking_target for p in got] == [0, 1]
 
     def test_pareto_frontier_brute_force_equivalence(self, quick_frontier):
         """The search's frontier == an independent brute-force filter."""

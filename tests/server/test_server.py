@@ -30,6 +30,7 @@ from repro.server import (
     create_server,
     serve,
 )
+from repro.server import http as server_http
 from repro.server.http import MAX_BODY_BYTES
 from repro.tensor.suite import small_suite
 
@@ -310,6 +311,17 @@ class TestRequestLimits:
         finally:
             connection.close()
 
+    @staticmethod
+    def _post_json(client, path: str, body: dict):
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=30)
+        try:
+            connection.request("POST", path, body=json.dumps(body).encode())
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
     @pytest.mark.parametrize("content_length", ["abc", "1.5", "-5"])
     def test_malformed_or_negative_length_is_400(self, live_server,
                                                  content_length):
@@ -326,6 +338,43 @@ class TestRequestLimits:
         assert str(MAX_BODY_BYTES) in payload["error"]
         assert client.health() == {"status": "ok"}
         assert client.stats()["tickets"] == 0
+
+    #: 3 y x 3 GLB scales x 1 PE scale x 1 kernel x 1 workload = 9 cells.
+    NINE_CELL_GRID = {"suite": "quick", "y": [0.05, 0.10, 0.22],
+                      "glb_scales": [0.5, 1.0, 2.0], "pe_scales": [1.0],
+                      "kernels": ["gram"]}
+
+    @pytest.mark.parametrize("path", ["/sweep", "/search"])
+    def test_grid_above_cell_limit_is_413(self, live_server, monkeypatch,
+                                          path):
+        monkeypatch.setattr(server_http, "MAX_GRID_CELLS", 8)
+        client, _store = live_server
+        body = dict(self.NINE_CELL_GRID,
+                    workloads=small_suite().names[:1])
+        status, payload = self._post_json(client, path, body)
+        assert status == 413
+        assert "9 cells" in payload["error"]
+        assert "8-cell limit" in payload["error"]
+        assert client.stats()["tickets"] == 0
+
+    def test_grid_cell_count_spans_every_axis(self, monkeypatch):
+        suite = small_suite()
+        axes = server_http._grid_kwargs_from_body(self.NINE_CELL_GRID)
+        monkeypatch.setattr(server_http, "MAX_GRID_CELLS", 9 * len(suite))
+        server_http._check_grid_cells(suite, axes)  # at the limit: planned
+        monkeypatch.setattr(server_http, "MAX_GRID_CELLS",
+                            9 * len(suite) - 1)
+        with pytest.raises(server_http.RequestError) as refused:
+            server_http._check_grid_cells(suite, axes)
+        assert refused.value.status == 413
+
+    @pytest.mark.parametrize("path", ["/sweep", "/search"])
+    @pytest.mark.parametrize("y", [["high"], 5])
+    def test_malformed_grid_axis_is_400(self, live_server, path, y):
+        client, _store = live_server
+        status, payload = self._post_json(client, path, {"y": y})
+        assert status == 400
+        assert "bad grid axis" in payload["error"]
 
 
 class TestByteIdentity:

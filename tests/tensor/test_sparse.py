@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +154,40 @@ class TestAlgebra:
     def test_matmul_dimension_mismatch_raises(self, tiny_dense_matrix):
         with pytest.raises(ValueError):
             tiny_dense_matrix.matmul(SparseMatrix.identity(3))
+
+
+def _dense_cases():
+    """The dtype and shape cases ``from_dense`` must store exactly as SciPy."""
+    rng = np.random.default_rng(7)
+    sparse_values = np.where(rng.random((8, 9)) < 0.5, 0.0, rng.random((8, 9)))
+    return {
+        "float64": rng.random((7, 5)),
+        "float32": rng.random((7, 5)).astype(np.float32),
+        "int": rng.integers(-2, 3, (6, 4)),
+        "bool": rng.random((5, 5)) < 0.5,
+        "with-zeros": sparse_values,
+        "signed-zero": np.array([[-0.0, 1.0], [0.0, -2.0]]),
+        "all-zero": np.zeros((3, 3)),
+        "0xn": np.zeros((0, 5)),
+        "nx0": np.zeros((5, 0)),
+        "nx1": rng.random((6, 1)),
+        "1-d": rng.random(5),
+        "fortran-order": np.asfortranarray(sparse_values),
+        "strided-view": sparse_values[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_dense_cases()))
+def test_from_dense_matches_scipy_conversion(case):
+    """``from_dense`` stores exactly what the SciPy dense conversion does."""
+    array = _dense_cases()[case]
+    got = SparseMatrix.from_dense(array).csr
+    expected = SparseMatrix(sp.csr_matrix(array)).csr
+    assert got.shape == expected.shape
+    assert got.dtype == expected.dtype
+    for field in ("indptr", "indices", "data"):
+        assert getattr(got, field).dtype == getattr(expected, field).dtype
+        assert np.array_equal(getattr(got, field), getattr(expected, field))
 
 
 @settings(max_examples=25, deadline=None)
